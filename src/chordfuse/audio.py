@@ -33,6 +33,10 @@ DEFAULT_N_BINS = 60
 
 _C0_HZ = 440.0 * 2.0 ** ((12 - 69) / 12)
 
+# Frames per block in ``cqt`` and ``hpss``: bounds their working memory
+# independently of the signal's length.
+_BLOCK_FRAMES = 256
+
 
 @dataclass(frozen=True)
 class Waveform:
@@ -159,6 +163,15 @@ def cqt(
     ``filter_scale`` multiplies the classic ``Q * sr / f_k`` window length;
     the default of 2 keeps adjacent-semitone leakage out of the Hann main
     lobe, which tonal cosine distances downstream rely on.
+
+    Every window starts at its frame's first sample.  Each octave's
+    complex kernels become one real matrix: the real and imaginary parts
+    of every kernel, zero-padded to the octave's longest window, one
+    column each.  Blocks of ``_BLOCK_FRAMES`` frames are copied out of the
+    signal into one reused buffer and multiplied by each octave's matrix
+    in one matmul, and the magnitudes come from ``np.hypot``.  Working
+    memory is one block of frames times the longest window, whatever the
+    signal's length.
     """
     if f_min <= 0 or bins_per_octave < 1 or n_bins < 1 or hop <= 0 or filter_scale <= 0:
         raise ValueError("bad constant-Q parameters")
@@ -174,14 +187,28 @@ def cqt(
     n_max = int(lengths[0])
     if len(x) < n_max:
         x = np.concatenate([x, np.zeros(n_max - len(x))])
+    octaves = []
+    for lo in range(0, n_bins, bins_per_octave):
+        hi = min(lo + bins_per_octave, n_bins)
+        kernels = np.zeros((int(lengths[lo]), 2 * (hi - lo)))
+        for j, k in enumerate(range(lo, hi)):
+            n_k = int(lengths[k])
+            n = np.arange(n_k)
+            cycles = freqs[k] * n_k / sr
+            kernel = np.hanning(n_k) * np.exp(-2j * np.pi * cycles * n / n_k) / n_k
+            kernels[:n_k, j] = kernel.real
+            kernels[:n_k, hi - lo + j] = kernel.imag
+        octaves.append((lo, hi, kernels))
     frames = sliding_window_view(x, n_max)[::hop]
     mags = np.empty((frames.shape[0], n_bins))
-    for k in range(n_bins):
-        n_k = int(lengths[k])
-        n = np.arange(n_k)
-        cycles = freqs[k] * n_k / sr
-        kernel = np.hanning(n_k) * np.exp(-2j * np.pi * cycles * n / n_k) / n_k
-        mags[:, k] = np.abs(frames[:, :n_k] @ kernel)
+    buffer = np.empty((min(_BLOCK_FRAMES, frames.shape[0]), n_max))
+    for start in range(0, frames.shape[0], _BLOCK_FRAMES):
+        out = mags[start : start + _BLOCK_FRAMES]
+        block = buffer[: len(out)]
+        block[:] = frames[start : start + len(out)]
+        for lo, hi, kernels in octaves:
+            parts = block[:, : kernels.shape[0]] @ kernels
+            out[:, lo:hi] = np.hypot(parts[:, : hi - lo], parts[:, hi - lo :])
     return Spectrogram(mags, hop, freqs, sr)
 
 
@@ -217,12 +244,23 @@ def chroma_from_cqt(s: Spectrogram) -> ChromaSequence:
     return ChromaSequence(vectors, s.frame_period)
 
 
-def _median_filter(x: np.ndarray, size: int, axis: int) -> np.ndarray:
-    pad = size // 2
-    widths = [(0, 0), (0, 0)]
-    widths[axis] = (pad, pad)
-    padded = np.pad(x, widths, mode="edge")
-    return np.median(sliding_window_view(padded, size, axis=axis), axis=-1)
+def _median_filter(x: np.ndarray, size: int, axis: int, r0: int, r1: int) -> np.ndarray:
+    """Rows ``r0:r1`` of the edge-padded median filter of a 2-D array.
+
+    The filter spans ``size`` (odd) cells along ``axis``.  Along the time
+    axis (0) the rows read a ``size // 2`` halo on each side, clamped to
+    the edge rows, so a block of rows needs memory for that block times
+    ``size`` windows only.  The median is the one middle element that
+    ``np.partition`` selects, the same value ``np.median`` returns.
+    """
+    half = size // 2
+    if axis == 0:
+        rows = np.clip(np.arange(r0 - half, r1 + half), 0, len(x) - 1)
+        windows = sliding_window_view(x[rows], size, axis=0)
+    else:
+        padded = np.pad(x[r0:r1], ((0, 0), (half, half)), mode="edge")
+        windows = sliding_window_view(padded, size, axis=1)
+    return np.partition(windows, half, axis=-1)[..., half]
 
 
 def hpss(s: Spectrogram, kernel: int = 17, power: float = 2.0) -> tuple[Spectrogram, Spectrogram]:
@@ -230,22 +268,38 @@ def hpss(s: Spectrogram, kernel: int = 17, power: float = 2.0) -> tuple[Spectrog
 
     Harmonic content is enhanced by median filtering across time,
     percussive content across frequency; soft masks raise the enhanced
-    magnitudes to ``power`` and sum to one per cell.
+    magnitudes to ``power`` and sum to one per cell.  Both filters and
+    both masks are computed per block of ``_BLOCK_FRAMES`` frames, so
+    beyond the two outputs memory is one block times ``kernel`` windows.
+
+    Raises
+    ------
+    TooSmall
+        With fewer than 3 frames or 3 bins.
+    ValueError
+        If ``kernel`` is not a positive odd number.
     """
     mags = s.magnitudes
     if mags.shape[0] < 3 or mags.shape[1] < 3:
         raise TooSmall("need at least 3 frames and 3 bins")
-    harm = _median_filter(mags, kernel, axis=0)
-    perc = _median_filter(mags, kernel, axis=1)
-    h_pow = harm**power
-    p_pow = perc**power
-    total = h_pow + p_pow
-    h_mask = np.full_like(mags, 0.5)
-    p_mask = np.full_like(mags, 0.5)
-    np.divide(h_pow, total, out=h_mask, where=total > 0)
-    np.divide(p_pow, total, out=p_mask, where=total > 0)
-    make = lambda m: Spectrogram(mags * m, s.hop, s.bin_frequencies, s.sample_rate)
-    return make(h_mask), make(p_mask)
+    if kernel < 1 or kernel % 2 == 0:
+        raise ValueError(f"median kernel must be a positive odd number, got {kernel}")
+    harmonic = np.empty_like(mags)
+    percussive = np.empty_like(mags)
+    for r0 in range(0, len(mags), _BLOCK_FRAMES):
+        r1 = min(r0 + _BLOCK_FRAMES, len(mags))
+        rows = mags[r0:r1]
+        h_pow = _median_filter(mags, kernel, 0, r0, r1) ** power
+        p_pow = _median_filter(mags, kernel, 1, r0, r1) ** power
+        total = h_pow + p_pow
+        h_mask = np.full_like(rows, 0.5)
+        p_mask = np.full_like(rows, 0.5)
+        np.divide(h_pow, total, out=h_mask, where=total > 0)
+        np.divide(p_pow, total, out=p_mask, where=total > 0)
+        np.multiply(rows, h_mask, out=harmonic[r0:r1])
+        np.multiply(rows, p_mask, out=percussive[r0:r1])
+    make = lambda m: Spectrogram(m, s.hop, s.bin_frequencies, s.sample_rate)
+    return make(harmonic), make(percussive)
 
 
 def onset_envelope(s: Spectrogram) -> np.ndarray:

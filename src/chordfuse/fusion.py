@@ -83,37 +83,58 @@ def select_sources_all(candidates: Sequence[CandidateSource]) -> list[CandidateS
     return list(candidates)
 
 
+def _midi_groups(candidates: Sequence[CandidateSource]) -> dict[str, list[CandidateSource]]:
+    """MIDI candidates grouped by file, both segmentation levels together."""
+    groups: dict[str, list[CandidateSource]] = {}
+    for c in candidates:
+        if c.origin in (Origin.MIDI_BAR, Origin.MIDI_BEAT):
+            groups.setdefault(c.midi_id or c.source_id, []).append(c)
+    return groups
+
+
+def _group_ats(group: Sequence[CandidateSource]) -> Optional[float]:
+    return max((c.ats for c in group if c.ats is not None), default=None)
+
+
+def _group_confidence(group: Sequence[CandidateSource]) -> Optional[float]:
+    return max((c.confidence for c in group if c.confidence is not None), default=None)
+
+
 def select_sources_best(candidates: Sequence[CandidateSource]) -> list[CandidateSource]:
     """Audio plus the expected best MIDI (both levels) and best tab.
 
     MIDI files whose alignment confidence exceeds 0.85 are discarded; of
     the survivors the one with the highest template-similarity figure is
-    kept.  The tab with the highest alignment log likelihood is kept.  If
-    no MIDI survives, the selection is audio and tab only.
+    kept.  A tie in that figure means exact float equality, as when both
+    files of a song match their triad templates perfectly; it goes to the
+    lower (better) alignment confidence, a file without one losing, and
+    then to the alphabetically first MIDI id.  The tab with the highest
+    alignment log likelihood is kept.  If no MIDI survives, the selection
+    is audio and tab only.
     """
     audio = [c for c in candidates if c.origin is Origin.AUDIO]
     if not audio:
         raise NoAudioSource("bundle has no audio-based sequence")
     selected = list(audio)
 
-    midi_groups: dict[str, list[CandidateSource]] = {}
-    for c in candidates:
-        if c.origin in (Origin.MIDI_BAR, Origin.MIDI_BEAT):
-            midi_groups.setdefault(c.midi_id or c.source_id, []).append(c)
     survivors = {
         key: group
-        for key, group in midi_groups.items()
+        for key, group in _midi_groups(candidates).items()
         if all(
             c.confidence is None or c.confidence <= CONFIDENCE_THRESHOLD for c in group
         )
     }
     if survivors:
-        best_key = max(
-            sorted(survivors),
-            key=lambda key: max(
-                (c.ats for c in survivors[key] if c.ats is not None), default=-math.inf
-            ),
-        )
+
+        def rank(key: str) -> tuple[float, float]:
+            ats = _group_ats(survivors[key])
+            confidence = _group_confidence(survivors[key])
+            return (
+                -math.inf if ats is None else ats,
+                -math.inf if confidence is None else -confidence,
+            )
+
+        best_key = max(sorted(survivors), key=rank)
         selected.extend(sorted(survivors[best_key], key=lambda c: c.source_id))
 
     tabs = [c for c in candidates if c.origin is Origin.TAB]
@@ -224,15 +245,26 @@ def fuse(
     """Select, sample, integrate and merge back into a chord sequence.
 
     Returns the fused sequence and a report with the participating source
-    ids (and final accuracies for the accuracy-weighted method).
+    ids, each MIDI file's selection figures (template similarity, alignment
+    confidence) and whether it was kept, and the final accuracies for the
+    accuracy-weighted method.
     """
     selector = select_sources_all if strategy is Strategy.ALL else select_sources_best
     selected = selector(candidates)
     source_set = build_source_set(selected, period)
+    kept = set(source_set.ids)
     report: dict = {
         "method": method.value,
         "strategy": strategy.value,
         "sources": list(source_set.ids),
+        "midi": {
+            midi_id: {
+                "kept": any(c.source_id in kept for c in group),
+                "ats": _group_ats(group),
+                "confidence": _group_confidence(group),
+            }
+            for midi_id, group in _midi_groups(candidates).items()
+        },
     }
     if method is Method.RND:
         fused = fuse_rnd(source_set, seed, vocab)

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -245,7 +245,7 @@ def read_meta(path: Path) -> dict[str, str]:
 
 
 def _align_stage(cache: _Cache, cfg: RunConfig, midi_path: Path, audio_path: Path,
-                 waveform: Waveform) -> AlignmentPath:
+                 get_waveform: Callable[[], Waveform]) -> AlignmentPath:
     midi_bytes = midi_path.read_bytes()
     audio_bytes = audio_path.read_bytes()
     params = f"hop={cfg.dtw.hop};gully={cfg.dtw.gully};penalty={cfg.dtw.penalty}".encode()
@@ -253,7 +253,7 @@ def _align_stage(cache: _Cache, cfg: RunConfig, midi_path: Path, audio_path: Pat
 
     def compute() -> str:
         song = parse_midi(midi_path)
-        path_obj = align_midi_to_audio(song, waveform, cfg.dtw)
+        path_obj = align_midi_to_audio(song, get_waveform(), cfg.dtw)
         lines = [f"confidence={path_obj.confidence:.9f}"]
         lines += [f"{a:.6f} {b:.6f}" for a, b in zip(path_obj.p, path_obj.q)]
         return "\n".join(lines) + "\n"
@@ -267,11 +267,12 @@ def _align_stage(cache: _Cache, cfg: RunConfig, midi_path: Path, audio_path: Pat
     return AlignmentPath(ps, qs, float("nan"), confidence)
 
 
-def _audio_prep_stage(cache: _Cache, audio_path: Path, waveform: Waveform) -> tuple[np.ndarray, BeatGrid]:
+def _audio_prep_stage(cache: _Cache, audio_path: Path,
+                      get_waveform: Callable[[], Waveform]) -> tuple[np.ndarray, BeatGrid]:
     key = cache.key(audio_path.read_bytes(), b"hop=256")
 
     def compute() -> str:
-        chroma, beats = preprocess_audio(waveform)
+        chroma, beats = preprocess_audio(get_waveform())
         payload = {
             "chroma": np.round(chroma, 9).tolist(),
             "beats": [round(t, 9) for t in beats.times],
@@ -318,6 +319,7 @@ def _process_song(
         except Exception as exc:
             result.failures.append(f"ace {lab.name}: {exc}")
 
+    # Decoded on the first cache miss that needs it, never on a warm run.
     waveform: Optional[Waveform] = None
 
     def get_waveform() -> Waveform:
@@ -328,7 +330,7 @@ def _process_song(
 
     for midi_path in bundle.midis:
         try:
-            alignment = _align_stage(cache, cfg, midi_path, bundle.audio, get_waveform())
+            alignment = _align_stage(cache, cfg, midi_path, bundle.audio, get_waveform)
             aligned = remap_times(parse_midi(midi_path), alignment.p, alignment.q)
             midi_id = midi_path.stem
             for level in (SegmentationLevel.BAR, SegmentationLevel.BEAT):
@@ -347,7 +349,7 @@ def _process_song(
     if bundle.tabs:
         prep: Optional[tuple[np.ndarray, BeatGrid]] = None
         try:
-            prep = _audio_prep_stage(cache, bundle.audio, get_waveform())
+            prep = _audio_prep_stage(cache, bundle.audio, get_waveform)
         except Exception as exc:
             result.failures.append(f"audio preprocessing: {exc}")
         if prep is not None:

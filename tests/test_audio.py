@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chordfuse.audio import (
+    _BLOCK_FRAMES,
+    _median_filter,
     C2_HZ,
     SAMPLE_RATE,
     Spectrogram,
@@ -23,6 +28,58 @@ from chordfuse.errors import (
     UnsupportedEncoding,
 )
 from conftest import chord_tone_audio, click_track, sine_wave
+
+
+def _cqt_reference(w, f_min=C2_HZ, bins_per_octave=12, n_bins=60, hop=1024, filter_scale=2.0):
+    """One complex kernel per bin over a frames x longest-window view."""
+    x = np.asarray(w.samples, dtype=np.float64)
+    sr = w.sample_rate
+    freqs = f_min * 2.0 ** (np.arange(n_bins) / bins_per_octave)
+    q = filter_scale / (2.0 ** (1.0 / bins_per_octave) - 1.0)
+    lengths = np.ceil(q * sr / freqs).astype(int)
+    n_max = int(lengths[0])
+    if len(x) < n_max:
+        x = np.concatenate([x, np.zeros(n_max - len(x))])
+    frames = sliding_window_view(x, n_max)[::hop]
+    mags = np.empty((frames.shape[0], n_bins))
+    for k in range(n_bins):
+        n_k = int(lengths[k])
+        n = np.arange(n_k)
+        cycles = freqs[k] * n_k / sr
+        kernel = np.hanning(n_k) * np.exp(-2j * np.pi * cycles * n / n_k) / n_k
+        mags[:, k] = np.abs(frames[:, :n_k] @ kernel)
+    return mags
+
+
+def _median_filter_reference(x, size, axis):
+    pad = size // 2
+    widths = [(0, 0), (0, 0)]
+    widths[axis] = (pad, pad)
+    padded = np.pad(x, widths, mode="edge")
+    return np.median(sliding_window_view(padded, size, axis=axis), axis=-1)
+
+
+def _hpss_reference(mags, kernel=17, power=2.0):
+    h_pow = _median_filter_reference(mags, kernel, 0) ** power
+    p_pow = _median_filter_reference(mags, kernel, 1) ** power
+    total = h_pow + p_pow
+    h_mask = np.full_like(mags, 0.5)
+    p_mask = np.full_like(mags, 0.5)
+    np.divide(h_pow, total, out=h_mask, where=total > 0)
+    np.divide(p_pow, total, out=p_mask, where=total > 0)
+    return mags * h_mask, mags * p_mask
+
+
+def _noisy_chord(n_samples, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_samples) / SAMPLE_RATE
+    tone = sum(np.sin(2 * np.pi * f * t) for f in (130.81, 164.81, 196.0))
+    return Waveform(0.2 * tone + 0.1 * rng.standard_normal(n_samples), SAMPLE_RATE)
+
+
+def _longest_window(bins_per_octave=12, f_min=C2_HZ):
+    q = 2.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
+    return int(np.ceil(q * SAMPLE_RATE / f_min))
 
 
 class TestLoadWav:
@@ -151,6 +208,35 @@ class TestCqt:
         with pytest.raises(NyquistExceeded):
             cqt(sine_wave(440.0, 1.0), f_min=4000.0, n_bins=24)
 
+    @pytest.mark.parametrize("hop", [256, 1024, 333])
+    def test_matches_per_bin_reference_by_hop(self, hop):
+        w = _noisy_chord(3 * SAMPLE_RATE)
+        np.testing.assert_allclose(
+            cqt(w, hop=hop).magnitudes, _cqt_reference(w, hop=hop), rtol=1e-9, atol=0
+        )
+
+    @pytest.mark.parametrize("bins_per_octave", [12, 24])
+    @pytest.mark.parametrize("n_bins", [60, 24, 37])
+    def test_matches_per_bin_reference_by_layout(self, n_bins, bins_per_octave):
+        w = _noisy_chord(2 * SAMPLE_RATE, seed=1)
+        kw = dict(n_bins=n_bins, bins_per_octave=bins_per_octave, hop=512)
+        np.testing.assert_allclose(
+            cqt(w, **kw).magnitudes, _cqt_reference(w, **kw), rtol=1e-9, atol=0
+        )
+
+    def test_matches_reference_shorter_than_longest_window(self):
+        w = _noisy_chord(_longest_window() // 3, seed=2)
+        spec = cqt(w, hop=256)
+        assert spec.n_frames == 1
+        np.testing.assert_allclose(spec.magnitudes, _cqt_reference(w, hop=256), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n_frames", [_BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1])
+    def test_matches_reference_around_block_size(self, n_frames):
+        w = _noisy_chord(_longest_window() + (n_frames - 1) * 256, seed=3)
+        spec = cqt(w, hop=256)
+        assert spec.n_frames == n_frames
+        np.testing.assert_allclose(spec.magnitudes, _cqt_reference(w, hop=256), rtol=1e-9, atol=0)
+
 
 class TestChroma:
     def test_pure_tone_concentrates(self):
@@ -225,6 +311,57 @@ class TestHpss:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             hpss(Spectrogram(np.zeros((2, 5)), 512, np.arange(5) + 1.0))
+
+    def test_even_kernel_rejected(self):
+        with pytest.raises(ValueError):
+            hpss(Spectrogram(np.ones((20, 5)), 512, np.arange(5) + 1.0), kernel=16)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("size", [1, 5, 17])
+    @pytest.mark.parametrize("n_rows", [3, 16, _BLOCK_FRAMES, _BLOCK_FRAMES + 9, 600])
+    def test_median_filter_matches_np_median(self, n_rows, size, axis):
+        # Few distinct values, so windows hold ties.
+        x = np.random.default_rng(n_rows).integers(0, 6, size=(n_rows, 23)) / 4.0
+        expected = _median_filter_reference(x, size, axis)
+        assert np.array_equal(_median_filter(x, size, axis, 0, n_rows), expected)
+        for r0 in range(0, n_rows, _BLOCK_FRAMES):
+            r1 = min(r0 + _BLOCK_FRAMES, n_rows)
+            assert np.array_equal(_median_filter(x, size, axis, r0, r1), expected[r0:r1])
+
+    @pytest.mark.parametrize("n_frames", [3, 10, _BLOCK_FRAMES + 1, 700])
+    def test_matches_unblocked_reference(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        mags = rng.exponential(size=(n_frames, 40))
+        mags[rng.random(mags.shape) < 0.3] = 0.0
+        harmonic, percussive = hpss(Spectrogram(mags, 512, np.arange(40) + 1.0))
+        h_ref, p_ref = _hpss_reference(mags)
+        assert np.array_equal(harmonic.magnitudes, h_ref)
+        assert np.array_equal(percussive.magnitudes, p_ref)
+
+    def test_matches_unblocked_reference_on_stft(self):
+        spec = stft(chord_tone_audio([[48, 52, 55], [53, 57, 60]], 4.0, click_period=0.25))
+        harmonic, percussive = hpss(spec)
+        h_ref, p_ref = _hpss_reference(spec.magnitudes)
+        assert np.array_equal(harmonic.magnitudes, h_ref)
+        assert np.array_equal(percussive.magnitudes, p_ref)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_front_end_memory_is_bounded_on_a_minute_of_audio():
+    # Unblocked, these took 889 MB and 747 MB: frames x window and
+    # frames x bins x kernel copies.
+    w = Waveform(np.random.default_rng(0).standard_normal(60 * SAMPLE_RATE) * 0.2)
+    assert _traced_peak_mb(lambda: cqt(w, hop=256)) < 64
+    spec = stft(w)
+    assert _traced_peak_mb(lambda: hpss(spec)) < 128
 
 
 class TestBeatTrack:

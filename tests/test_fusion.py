@@ -127,6 +127,32 @@ class TestSelectBest:
         ids = {c.source_id for c in select_sources_best(cands)}
         assert ids == {"audio", "m1.bar", "m1.beat"}
 
+    def test_ats_tie_goes_to_lower_confidence(self):
+        # Both files match their templates perfectly; the alphabetically
+        # first one is the worse-aligned.
+        cands = self.make_bundle([0.8, 0.1], [1.0, 1.0], [])
+        ids = {c.source_id for c in select_sources_best(cands)}
+        assert ids == {"audio", "m1.bar", "m1.beat"}
+        cands = self.make_bundle([0.1, 0.8], [1.0, 1.0], [])
+        ids = {c.source_id for c in select_sources_best(cands)}
+        assert ids == {"audio", "m0.bar", "m0.beat"}
+
+    def test_full_tie_goes_to_first_midi_id(self):
+        cands = self.make_bundle([0.3, 0.3], [1.0, 1.0], [])
+        ids = {c.source_id for c in select_sources_best(cands)}
+        assert ids == {"audio", "m0.bar", "m0.beat"}
+
+    def test_report_records_midi_decision(self):
+        cands = self.make_bundle([0.8, 0.1, 0.9], [1.0, 1.0, 0.5], [-3.0])
+        _, report = fuse(cands, Method.DF, Strategy.BEST)
+        assert report["midi"] == {
+            "m0": {"kept": False, "ats": 1.0, "confidence": 0.8},
+            "m1": {"kept": True, "ats": 1.0, "confidence": 0.1},
+            "m2": {"kept": False, "ats": 0.5, "confidence": 0.9},
+        }
+        _, report = fuse(cands, Method.DF, Strategy.ALL)
+        assert all(entry["kept"] for entry in report["midi"].values())
+
     def test_max_loglik_tab_wins(self):
         cands = self.make_bundle([], [], [-100.0, -90.0])
         picked = select_sources_best(cands)

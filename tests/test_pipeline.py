@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chordfuse import pipeline
 from chordfuse.annotations import read_lab, sample
 from chordfuse.errors import MissingFile, SchemaError
 from chordfuse.fusion import Method, Strategy
@@ -149,7 +150,7 @@ class TestRunPipeline:
             audio_csr = evals["ace_ace"].csr
             assert evals["fused"].csr > audio_csr
 
-    def test_warm_cache_no_recompute_and_identical_bytes(self, corpus, tmp_path):
+    def test_warm_cache_no_recompute_and_identical_bytes(self, corpus, tmp_path, monkeypatch):
         bundles = load_manifest(corpus["manifest"])
         cfg = run_config(tmp_path / "out", corpus)
         first = run_pipeline(bundles, cfg)
@@ -158,7 +159,11 @@ class TestRunPipeline:
             song_id: (cfg.output_dir / "songs" / song_id / "fused.lab").read_bytes()
             for song_id in first.songs
         }
+        decoded = []
+        load_wav = pipeline.load_wav
+        monkeypatch.setattr(pipeline, "load_wav", lambda path: decoded.append(path) or load_wav(path))
         second = run_pipeline(bundles, cfg)
+        assert decoded == []
         assert second.stage_computes == {}
         assert sum(second.stage_hits.values()) > 0
         for song_id, payload in fused_before.items():
